@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 
 	"repro/internal/dj"
 	"repro/internal/paillier"
@@ -32,7 +33,9 @@ type Client struct {
 	pkEnc    paillier.Encryptor
 	ephEnc   paillier.Encryptor
 	djEnc    dj.Encryptor
-	close    []func()
+
+	closeMu sync.Mutex // guards close
+	close   []func()
 }
 
 // NewClient builds S1's stub. The ledger records S1-side leakage
@@ -90,6 +93,8 @@ func NewClient(caller transport.Caller, pk *paillier.PublicKey, ledger *Ledger, 
 // Close stops the client's background nonce pools. The client stays
 // usable afterwards (encryptions compute nonces inline).
 func (c *Client) Close() {
+	c.closeMu.Lock()
+	defer c.closeMu.Unlock()
 	for _, f := range c.close {
 		f()
 	}

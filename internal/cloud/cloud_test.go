@@ -117,6 +117,40 @@ func TestRecover(t *testing.T) {
 	if m.Int64() != 4242 {
 		t.Fatalf("recovered plaintext %v, want 4242", m)
 	}
+	// S2 must hand back a fresh encryption, never the inner ciphertext
+	// itself: S1 would otherwise recognize which of its own ciphertexts
+	// a hidden selection picked.
+	if got[0].C.Cmp(inner.C) == 0 {
+		t.Fatal("Recover returned the inner ciphertext unchanged")
+	}
+}
+
+// TestCloseConcurrent closes one client and one server from several
+// goroutines at once; under -race it pins the lock around their lists of
+// pool closers.
+func TestCloseConcurrent(t *testing.T) {
+	e := env(t)
+	srv, err := NewServer(e.keys, nil, WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewClient(transport.NewLocal(srv, nil), &e.keys.Paillier.PublicKey, nil, WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			client.Close()
+		}()
+		go func() {
+			defer wg.Done()
+			srv.Close()
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCompareSigns(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 
 	"repro/internal/dj"
 	"repro/internal/paillier"
@@ -57,7 +58,9 @@ type Server struct {
 	par    int
 	pkEnc  paillier.Encryptor
 	djEnc  dj.Encryptor
-	close  []func()
+
+	closeMu sync.Mutex // guards close
+	close   []func()
 }
 
 // NewServer builds S2 from its key material. ledger may be nil. Call Close
@@ -93,6 +96,8 @@ func NewServer(keys *KeyMaterial, ledger *Ledger, opts ...Option) (*Server, erro
 // Close stops the server's background nonce pools. The server stays usable
 // afterwards (encryptions compute nonces inline).
 func (s *Server) Close() {
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
 	for _, c := range s.close {
 		c()
 	}
@@ -304,7 +309,7 @@ func (s *Server) eqBits(ctx context.Context, req *EqBitsRequest) (*EqBitsReply, 
 }
 
 // recover strips the outer DJ layer from each blinded double encryption
-// (Algorithm 5, server side).
+// (Algorithm 5, server side) and re-randomizes the result.
 func (s *Server) recover(req *RecoverRequest) (*RecoverReply, error) {
 	wrapped := make([]*dj.Ciphertext, len(req.Cts))
 	for i, c := range req.Cts {
@@ -317,9 +322,20 @@ func (s *Server) recover(req *RecoverRequest) (*RecoverReply, error) {
 	if err != nil {
 		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Recover")
 	}
+	// Re-randomize every recovered ciphertext. Without the fresh Enc(0),
+	// S1's unblinding would leave it holding a ciphertext byte-identical
+	// to one of its own selection inputs, and so the hidden selection bit.
 	out := make([]*big.Int, len(inner))
-	for i, ct := range inner {
+	err = parallel.ForEach(s.par, len(inner), func(i int) error {
+		ct, err := s.pkEnc.Rerandomize(inner[i])
+		if err != nil {
+			return err
+		}
 		out[i] = ct.C
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	s.ledger.Record("S2", MethodRecover, "recovered %d blinded ciphertexts", len(req.Cts))
 	return &RecoverReply{Cts: out}, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/cloud"
@@ -104,4 +105,93 @@ func newTestItems(t *testing.T, r *testRig) []protocols.Item {
 		})
 	}
 	return items
+}
+
+// selectionGates is the gate count of EncSelectTop choosing s of n items:
+// pass p compares position p with each of the n-1-p positions after it.
+func selectionGates(n, s int) int64 {
+	var g int64
+	for p := 0; p < s && p < n; p++ {
+		g += int64(n - 1 - p)
+	}
+	return g
+}
+
+// TestHaltingRanksWhatItReads pins how many positions each halting policy
+// ranks. HaltStrict compares every tail bound in any order, so its checks
+// and finalize select the top k; HaltPaper reads the (k+1)-th item's bound
+// and selects k+1. A gate is one hidden-comparison round plus one
+// recovery round, so each gate strict halting skips saves exactly 2
+// rounds against ranking k+1; k1Rounds is what the same query cost when
+// strict halting still ranked k+1.
+func TestHaltingRanksWhatItReads(t *testing.T) {
+	r := getRig(t)
+	er := encryptFig3(t, r)
+	const k = 2
+	for _, tc := range []struct {
+		name string
+		opts Options
+		// sizes is |T| at every ranking: Qry_F's replace-mode dedup grows
+		// T by m = 3 per depth; Qry_Ba's merges keep 4 and then 5 objects.
+		// A scan cut by MaxDepth ranks once more in finalize.
+		sizes    []int
+		sel      int
+		rounds   int64
+		k1Rounds int64
+	}{
+		{"QryF/strict", Options{Mode: QryF, Halt: HaltStrict}, []int{3, 6, 9, 12}, k, 129, 165},
+		{"QryF/strict/finalize", Options{Mode: QryF, Halt: HaltStrict, MaxDepth: 2}, []int{3, 6, 6}, k, 57, 69},
+		{"QryBa/strict", Options{Mode: QryBa, Halt: HaltStrict, BatchDepth: 2}, []int{4, 5}, k, 30, 36},
+		{"QryF/paper", Options{Mode: QryF, Halt: HaltPaper}, []int{3, 6, 9}, k + 1, 96, 96},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stats := transport.NewStats()
+			led := cloud.NewLedger()
+			client, err := cloud.NewClient(transport.NewLocal(r.server, stats), r.scheme.PublicKey(), led)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			tk, err := r.scheme.Token(er, []int{0, 1, 2}, nil, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine, err := NewEngine(client, er)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := engine.SecQuery(context.Background(), tk, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+			if tc.opts.Mode == QryBa {
+				var kept []int
+				for _, ev := range led.ByMethod(cloud.MethodDedup) {
+					var n, of int
+					if _, err := fmt.Sscanf(ev.Detail, "uniqueness pattern: %d of %d items kept", &n, &of); err != nil {
+						t.Fatal(err)
+					}
+					kept = append(kept, n)
+				}
+				if fmt.Sprint(kept) != fmt.Sprint(tc.sizes) {
+					t.Fatalf("merges kept %v items, want %v", kept, tc.sizes)
+				}
+			}
+			var want, k1 int64
+			for _, n := range tc.sizes {
+				want += selectionGates(n, tc.sel)
+				k1 += selectionGates(n, k+1)
+			}
+			gates := stats.Method(cloud.MethodCompareHidden).Calls
+			if gates != want {
+				t.Fatalf("%d gates, want %d (selecting %d at sizes %v)", gates, want, tc.sel, tc.sizes)
+			}
+			rounds := stats.Rounds()
+			if rounds != tc.rounds {
+				t.Fatalf("%d rounds, want %d", rounds, tc.rounds)
+			}
+			if skipped := k1 - gates; rounds+2*skipped != tc.k1Rounds {
+				t.Fatalf("%d rounds + 2 x %d skipped gates != %d rounds when ranking k+1", rounds, skipped, tc.k1Rounds)
+			}
+		})
+	}
 }

@@ -57,6 +57,16 @@ const (
 	HaltStrict
 )
 
+// selectCount is how many leading positions the halting test needs in
+// worst-score order: HaltPaper reads the (k+1)-th item's bound, while
+// HaltStrict compares every tail bound in any order, so the top k suffice.
+func (h HaltPolicy) selectCount(k int) int {
+	if h == HaltPaper {
+		return k + 1
+	}
+	return k
+}
+
 // SortStrategy selects how the worst-score ranking is maintained.
 type SortStrategy int
 
@@ -350,7 +360,7 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 	for i := 0; i < m; i++ {
 		bottoms[i] = histories[i].Scores[len(histories[i].Scores)-1]
 	}
-	return e.finalize(ctx, T, k, magBits, depth, maxD == e.er.N, bottoms, nil)
+	return e.finalize(ctx, T, k, magBits, depth, opts.Halt, maxD == e.er.N, bottoms, nil)
 }
 
 // queryBatched is Qry_Ba (Section 10.2): per-depth items carry only their
@@ -452,7 +462,7 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 			return res, &runInfo{ranked: T, bottoms: bottoms, best: e.batchBest(bottoms, e.par(opts))}, nil
 		}
 	}
-	return e.finalize(ctx, T, k, magBits, depth, maxD == e.er.N, bottoms, e.batchBest(bottoms, e.par(opts)))
+	return e.finalize(ctx, T, k, magBits, depth, opts.Halt, maxD == e.er.N, bottoms, e.batchBest(bottoms, e.par(opts)))
 }
 
 // bestFunc computes exact best bounds for the given (ranked) items.
@@ -524,7 +534,7 @@ func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits i
 	if opts.Sort == SortFull {
 		ranked, err = protocols.EncSort(ctx, e.client, T, protocols.ColWorst, true, magBits)
 	} else {
-		ranked, err = protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, k+1, magBits)
+		ranked, err = protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, opts.Halt.selectCount(k), magBits)
 	}
 	if err != nil {
 		return false, nil, err
@@ -587,9 +597,10 @@ func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits i
 
 // finalize returns the best-effort top-k after the scan ended without the
 // halting condition firing. A full scan is exact (all bounds are tight at
-// depth n); a MaxDepth-capped scan is marked unhalted. One extra position
-// beyond k is ranked so the shard merge sees the (k+1)-th residual.
-func (e *Engine) finalize(ctx context.Context, T []protocols.Item, k, magBits, depth int, fullScan bool, bottoms []*paillier.Ciphertext, best bestFunc) (*QueryResult, *runInfo, error) {
+// depth n); a MaxDepth-capped scan is marked unhalted. It ranks as many
+// positions as the halting test does; the shard merge takes every
+// position past k as a residual, in any order.
+func (e *Engine) finalize(ctx context.Context, T []protocols.Item, k, magBits, depth int, halt HaltPolicy, fullScan bool, bottoms []*paillier.Ciphertext, best bestFunc) (*QueryResult, *runInfo, error) {
 	info := &runInfo{bottoms: bottoms, best: best, fullScan: fullScan}
 	if len(T) == 0 {
 		return &QueryResult{Depth: depth, Halted: fullScan}, info, nil
@@ -597,7 +608,7 @@ func (e *Engine) finalize(ctx context.Context, T []protocols.Item, k, magBits, d
 	if k > len(T) {
 		k = len(T)
 	}
-	sel := k + 1
+	sel := halt.selectCount(k)
 	if sel > len(T) {
 		sel = len(T)
 	}

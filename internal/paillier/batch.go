@@ -138,6 +138,9 @@ func (np *NoncePool) get() (*big.Int, error) {
 // Key returns the underlying public key.
 func (np *NoncePool) Key() *PublicKey { return np.src.Key() }
 
+// Source returns the nonce producer the pool buffers.
+func (np *NoncePool) Source() NonceSource { return np.src }
+
 // NoncePower returns a pooled nonce power (inline when drained), making
 // the pool itself a NonceSource.
 func (np *NoncePool) NoncePower() (*big.Int, error) { return np.get() }

@@ -64,9 +64,9 @@ func (it Item) Validate(cols int) error {
 
 // RecoverEnc strips the outer DJ layer from each double encryption
 // E2(Enc(c)) with additive blinding (Algorithm 5), batched into a single
-// round: S1 blinds with Enc(r_i), S2 removes the outer layer, S1 divides
-// the blind back out. Blinding and unblinding fan out over the client's
-// worker budget.
+// round: S1 blinds with Enc(r_i), S2 removes the outer layer and
+// re-randomizes, S1 divides the blind back out. Blinding and unblinding
+// fan out over the client's worker budget.
 func RecoverEnc(ctx context.Context, c *cloud.Client, cts []*dj.Ciphertext) ([]*paillier.Ciphertext, error) {
 	if len(cts) == 0 {
 		return nil, nil
@@ -99,30 +99,51 @@ func RecoverEnc(ctx context.Context, c *cloud.Client, cts []*dj.Ciphertext) ([]*
 	if err != nil {
 		return nil, err
 	}
-	// The reply is exactly Enc(c_i) * Enc(r_i) as a group element;
-	// dividing by the same Enc(r_i) restores Enc(c_i). All the inverses
-	// come from one Montgomery batch inversion (1 inversion + 3 mults per
-	// ciphertext instead of an extended-GCD each).
-	blindVals := make([]*big.Int, len(blinds))
-	for i, b := range blinds {
-		blindVals[i] = b.C
-	}
-	var invs []*big.Int
-	if eng := pk.EngineN2(); eng != nil {
-		invs, err = zmath.BatchModInverseMod(blindVals, eng)
-	} else {
-		invs, err = zmath.BatchModInverse(blindVals, pk.N2)
-	}
+	// The reply is Enc(c_i) * Enc(r_i) * Enc(0) as a group element (S2
+	// re-randomizes it); dividing by the same Enc(r_i) leaves a fresh
+	// encryption of c_i.
+	out, err := divideAll(ctx, c, blinds, recovered)
 	if err != nil {
 		return nil, fmt.Errorf("protocols: RecoverEnc unblind: %w", err)
 	}
-	return parallel.MapErrCtx(ctx, c.Parallelism(), recovered, func(i int, rec *paillier.Ciphertext) (*paillier.Ciphertext, error) {
-		if eng := pk.EngineN2(); eng != nil {
-			return &paillier.Ciphertext{C: eng.MulMod(rec.C, invs[i])}, nil
+	return out, nil
+}
+
+// divideAll returns nums[0][i] * ... * nums[len-1][i] * dens[i]^{-1} mod N^2
+// for each i: the homomorphic sum of the numerators' plaintexts minus the
+// denominator's. All the inverses come from one Montgomery batch inversion
+// (1 inversion + 3 mults per ciphertext instead of an extended-GCD each);
+// keys without a reduction engine take the big.Int path.
+func divideAll(ctx context.Context, c *cloud.Client, dens []*paillier.Ciphertext, nums ...[]*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+	pk := c.PK()
+	eng := pk.EngineN2()
+	mulMod := func(x, y *big.Int) *big.Int {
+		if eng != nil {
+			return eng.MulMod(x, y)
 		}
-		v := new(big.Int).Mul(rec.C, invs[i])
-		v.Mod(v, pk.N2)
-		return &paillier.Ciphertext{C: v}, nil
+		v := new(big.Int).Mul(x, y)
+		return v.Mod(v, pk.N2)
+	}
+	denVals := make([]*big.Int, len(dens))
+	for i, d := range dens {
+		denVals[i] = d.C
+	}
+	var invs []*big.Int
+	var err error
+	if eng != nil {
+		invs, err = zmath.BatchModInverseMod(denVals, eng)
+	} else {
+		invs, err = zmath.BatchModInverse(denVals, pk.N2)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return parallel.MapErrCtx(ctx, c.Parallelism(), invs, func(i int, inv *big.Int) (*paillier.Ciphertext, error) {
+		acc := inv
+		for _, num := range nums {
+			acc = mulMod(acc, num[i].C)
+		}
+		return &paillier.Ciphertext{C: acc}, nil
 	})
 }
 

@@ -7,7 +7,6 @@ import (
 	"math/big"
 
 	"repro/internal/cloud"
-	"repro/internal/dj"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
@@ -154,6 +153,13 @@ func batcherLayers(n int) [][]gate {
 
 // runGateLayer executes one layer of independent compare-exchange gates in
 // two rounds: a hidden-comparison batch and a selection/recovery batch.
+//
+// Only position i of each gate goes through the selection gadget. A
+// compare-exchange permutes its pair, so the two outputs always sum to the
+// two inputs, and every slot of position j is derived on S1 as the
+// complement Enc(I)*Enc(J)*Enc(new_i)^{-1}. new_i carries fresh S2
+// randomness (see cloud.Server's Recover), so neither output links back
+// to an input ciphertext (DESIGN.md "Compare-exchange complement").
 func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gate, col int, desc bool, magBits int) error {
 	// Round 1: hidden comparison bits. For ascending order the gate keeps
 	// (i, j) when key_i <= key_j; descending swaps the operands.
@@ -175,58 +181,49 @@ func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gat
 		return err
 	}
 
-	// Round 2: oblivious swap of every slot of both items.
+	// Round 2: select every slot of position i, EHL digests first, then
+	// score columns, gate by gate.
 	sel := newSelector(c)
-	type slotRef struct {
-		gate  int
-		side  int // 0 = position i, 1 = position j
-		isEHL bool
-		idx   int
-		slot  int
-	}
-	var refs []slotRef
-	queue := func(k int, t, notT *dj.Ciphertext, a, b *paillier.Ciphertext, side int, isEHL bool, idx int) {
-		refs = append(refs, slotRef{gate: k, side: side, isEHL: isEHL, idx: idx, slot: sel.add(t, notT, a, b)})
-	}
+	var is, js []*paillier.Ciphertext
 	for k, g := range layer {
 		I, J := work[g.i], work[g.j]
-		for idx := range I.EHL.Cts {
-			queue(k, bits[k], notBits[k], I.EHL.Cts[idx], J.EHL.Cts[idx], 0, true, idx)
-			queue(k, bits[k], notBits[k], J.EHL.Cts[idx], I.EHL.Cts[idx], 1, true, idx)
+		base := len(is)
+		is = append(append(is, I.EHL.Cts...), I.Scores...)
+		js = append(append(js, J.EHL.Cts...), J.Scores...)
+		if len(is) != len(js) {
+			return fmt.Errorf("protocols: gate (%d, %d) joins items of different shapes", g.i, g.j)
 		}
-		for idx := range I.Scores {
-			queue(k, bits[k], notBits[k], I.Scores[idx], J.Scores[idx], 0, false, idx)
-			queue(k, bits[k], notBits[k], J.Scores[idx], I.Scores[idx], 1, false, idx)
+		for s := base; s < len(is); s++ {
+			sel.add(bits[k], notBits[k], is[s], js[s])
 		}
 	}
-	resolved, err := sel.resolve(ctx)
+	newI, err := sel.resolve(ctx)
 	if err != nil {
 		return err
 	}
-	// Materialize the new items, then write them back.
-	newItems := make(map[int]*Item)
+	newJ, err := divideAll(ctx, c, newI, is, js)
+	if err != nil {
+		return fmt.Errorf("protocols: compare-exchange complement: %w", err)
+	}
+	// Write the new items back. Each takes capped sub-slices of the fresh
+	// result slices, so none shares storage with the caller's input.
+	off := 0
 	for _, g := range layer {
-		ni := &Item{EHL: &ehl.List{Kind: work[g.i].EHL.Kind, Cts: make([]*paillier.Ciphertext, len(work[g.i].EHL.Cts))}, Scores: make([]*paillier.Ciphertext, len(work[g.i].Scores))}
-		nj := &Item{EHL: &ehl.List{Kind: work[g.j].EHL.Kind, Cts: make([]*paillier.Ciphertext, len(work[g.j].EHL.Cts))}, Scores: make([]*paillier.Ciphertext, len(work[g.j].Scores))}
-		newItems[g.i] = ni
-		newItems[g.j] = nj
-	}
-	for _, r := range refs {
-		g := layer[r.gate]
-		pos := g.i
-		if r.side == 1 {
-			pos = g.j
-		}
-		if r.isEHL {
-			newItems[pos].EHL.Cts[r.idx] = resolved[r.slot]
-		} else {
-			newItems[pos].Scores[r.idx] = resolved[r.slot]
-		}
-	}
-	for pos, it := range newItems {
-		work[pos] = *it
+		e, n := len(work[g.i].EHL.Cts), len(work[g.i].Scores)
+		work[g.i] = gateOutput(work[g.i].EHL.Kind, newI[off:off+e+n], e)
+		work[g.j] = gateOutput(work[g.j].EHL.Kind, newJ[off:off+e+n], e)
+		off += e + n
 	}
 	return nil
+}
+
+// gateOutput assembles an item from its resolved slots: the first e are
+// EHL digests, the rest score columns.
+func gateOutput(kind ehl.Kind, slots []*paillier.Ciphertext, e int) Item {
+	return Item{
+		EHL:    &ehl.List{Kind: kind, Cts: slots[:e:e]},
+		Scores: slots[e:len(slots):len(slots)],
+	}
 }
 
 // EncSelectTop partially orders items so positions 0..k-1 hold the top k
